@@ -559,6 +559,28 @@ def _run_latency_report(args) -> int:
     return 1 if failed else 0
 
 
+def _run_indexbench(args) -> int:
+    """Index access paths plus the scan-flood leg.
+
+    Writes ``indexbench.txt``.  Fails (exit 1) if, after the warm-up
+    round, any primary-key probe of the hot table faults a page while
+    full scans of a table larger than the buffer pool run between the
+    probes (a large-file scan must not flush the pool).
+    """
+    started = time.time()
+    result = EXPERIMENTS["indexbench"](args)
+    text = result.format()
+    print(text)
+    print(f"[indexbench: {time.time() - started:.1f}s wall]")
+    out_dir = pathlib.Path(args.out)
+    out_dir.mkdir(exist_ok=True)
+    (out_dir / "indexbench.txt").write_text(text + "\n")
+    failures = result.gate_failures()
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
+
+
 def _run_sentinel(args) -> int:
     """Compare the latest entry of every ``*_history.jsonl`` group
     against its trailing-window median; exit 1 on any regression beyond
@@ -685,6 +707,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_tpccbench(args)
     if args.experiment == "sentinel":
         return _run_sentinel(args)
+    if args.experiment == "indexbench":
+        return _run_indexbench(args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     out_dir = pathlib.Path(args.out)

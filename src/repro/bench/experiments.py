@@ -806,11 +806,22 @@ class IndexBenchResult:
     than the table so every heap page touched becomes a ``disk_io``
     charge — the tracked claim is that the index path reads strictly
     fewer pages.
+
+    The scan-flood leg then interleaves primary-key probes on a small
+    hot table with full scans of the unindexed table (larger than the
+    pool).  Those scans run cold, so after the warm-up round no hot
+    probe may fault a page; under plain LRU every scan would flush the
+    hot table.
     """
 
     rows_matched: int
     queries: list = field(default_factory=list)  # (label, rows, pages, s)
     plans: dict = field(default_factory=dict)
+    pool_pages: int = 0
+    flood_scan_table_pages: int = 0
+    #: (round, scan pages read, hot probes, hot pages faulted); round 0
+    #: is the warm-up (probes only, no scan).
+    flood_rounds: list = field(default_factory=list)
 
     def format(self) -> str:
         body = [[label, rows, pages, f"{seconds:.6f}"]
@@ -822,7 +833,31 @@ class IndexBenchResult:
         lines = [head, ""]
         for label in sorted(self.plans):
             lines.append(f"plan[{label}]: {self.plans[label]}")
+        flood = format_table(
+            f"Scan flood: hot-table PK probes between full scans of a "
+            f"{self.flood_scan_table_pages}-page table "
+            f"({self.pool_pages}-page pool)",
+            ["Round", "Scan pages read", "Hot probes", "Hot pages faulted"],
+            [list(row) for row in self.flood_rounds])
+        lines += ["", flood]
         return "\n".join(lines)
+
+    def gate_failures(self) -> list[str]:
+        """Why the scan-flood leg fails its gate (empty when it passes)."""
+        failures = []
+        if self.flood_scan_table_pages <= self.pool_pages:
+            failures.append(
+                f"flood table has {self.flood_scan_table_pages} pages — "
+                f"not larger than the {self.pool_pages}-page pool")
+        for rnd, scan_pages, _probes, faulted in self.flood_rounds[1:]:
+            if faulted:
+                failures.append(
+                    f"scan-flood round {rnd}: hot-table probes faulted "
+                    f"{faulted} page(s) after warm-up")
+            if not scan_pages:
+                failures.append(
+                    f"scan-flood round {rnd}: the flood scan read no pages")
+        return failures
 
 
 _INDEXBENCH_DDL = (
@@ -835,6 +870,14 @@ _INDEXBENCH_FETCH = ("SELECT val FROM {name} "
                      "WHERE grp >= 10 AND grp < 12")
 _INDEXBENCH_COVER = ("SELECT grp, id FROM {name} "
                      "WHERE grp >= 10 AND grp < 12")
+
+#: Scan-flood leg: a two-page hot table probed by primary key (every
+#: tenth key, so both pages) between full scans of ``scanned``.
+INDEXBENCH_HOT_ROWS = 150
+INDEXBENCH_HOT_PROBE_STRIDE = 10
+INDEXBENCH_FLOOD_ROUNDS = 4
+_INDEXBENCH_HOT_PROBE = "SELECT val FROM hot WHERE id = {key}"
+_INDEXBENCH_FLOOD_SCAN = "SELECT sum(val) FROM scanned"
 
 
 def run_indexbench(rows: int = 4000, group_size: int = 100,
@@ -891,6 +934,34 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
         scan_lines = [line for (line,) in plan if "Scan" in line]
         result.plans[label] = scan_lines[0].strip() if scan_lines \
             else plan[0][0].strip()
+
+    # Scan-flood leg.  Loaded only now so the legs above run on exactly
+    # the world they always have.
+    saved = meter.advance_clock
+    meter.advance_clock = False
+    try:
+        engine.execute(_INDEXBENCH_DDL.format(name="hot"), session)
+        engine.execute("INSERT INTO hot VALUES " + ", ".join(
+            f"({i}, 0, {i}, 'hot-{i}')" for i in range(INDEXBENCH_HOT_ROWS)),
+            session)
+        engine.checkpoint()
+    finally:
+        meter.advance_clock = saved
+    result.pool_pages = pool_pages
+    result.flood_scan_table_pages = engine.table("scanned").heap.page_count
+    probes = range(0, INDEXBENCH_HOT_ROWS, INDEXBENCH_HOT_PROBE_STRIDE)
+
+    def io_of(statements) -> int:
+        before = meter.counters.get("disk_io", 0)
+        for sql in statements:
+            app.query_rows(sql)
+        return int(meter.counters.get("disk_io", 0) - before)
+
+    for rnd in range(INDEXBENCH_FLOOD_ROUNDS + 1):
+        scan_pages = io_of([_INDEXBENCH_FLOOD_SCAN] if rnd else [])
+        faulted = io_of(_INDEXBENCH_HOT_PROBE.format(key=key)
+                        for key in probes)
+        result.flood_rounds.append((rnd, scan_pages, len(probes), faulted))
     return result
 
 

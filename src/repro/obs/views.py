@@ -23,7 +23,9 @@ views:
   per request kind), wire bytes up/down, fetch-ahead hit/waste counts
   and overlap seconds, persist-pipeline bookings and stalls;
 * ``sys_result_cache`` — shared-result-cache traffic: hits, misses,
-  insertions, evictions and invalidations, with per-table breakdowns.
+  insertions, evictions and invalidations, with per-table breakdowns;
+* ``sys_buffer_pool`` — buffer-pool occupancy and traffic, including
+  the misses a large-file scan admitted cold.
 
 View functions only read engine/meter state; they import nothing from
 the engine so the registry itself stays dependency-free.
@@ -285,6 +287,25 @@ def _sys_checkpoint(engine):
     rows.append(("truncated_lsn", float(engine.wal.truncated_lsn)))
     rows.append(("flushed_lsn", float(engine.wal.flushed_lsn)))
     rows.append(("last_lsn", float(engine.wal.last_lsn)))
+    return columns, rows
+
+
+@system_view("sys_buffer_pool")
+def _sys_buffer_pool(engine):
+    """Buffer-pool occupancy and hit/miss traffic.
+
+    ``cold_admissions`` counts the misses of scans over files larger
+    than the pool, which are admitted at the LRU end (see
+    :class:`repro.storage.buffer_pool.BufferPool`).  All values are read
+    straight off the pool, before this view's own snapshot table is
+    materialized.
+    """
+    columns = [Column("metric", SqlType.VARCHAR, 24),
+               Column("value", SqlType.BIGINT)]
+    pool = engine.buffer_pool
+    rows = [(name, int(getattr(pool, name)))
+            for name in ("capacity_pages", "resident_pages", "dirty_pages",
+                         "hits", "misses", "cold_admissions")]
     return columns, rows
 
 

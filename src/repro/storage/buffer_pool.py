@@ -1,4 +1,4 @@
-"""Volatile LRU buffer pool.
+"""Volatile, scan-resistant LRU buffer pool.
 
 The pool caches :class:`~repro.storage.page.Page` objects between the
 engine and the :class:`~repro.storage.disk.SimulatedDisk`.  It is the
@@ -10,6 +10,16 @@ exists.
 
 The WAL protocol is enforced at the flush point: before a dirty page is
 written to disk, the log is forced up to that page's ``page_lsn``.
+
+Replacement is LRU with one exception, DBMIN's rule for a looping
+sequential reference (Chou & DeWitt, VLDB 1985): a scan of a file larger
+than the pool reads its pages *cold*.  A cold miss is admitted at the LRU
+end, so the next admission evicts it first, and a cold hit is not
+promoted.  Such a scan therefore cycles through one frame instead of
+flushing the whole pool, which keeps every other table's hot pages (and
+the part of the scanned file still resident from earlier scans)
+resident.  :meth:`HeapFile.scan_pages` decides per scan; point reads and
+scans of files that fit are plain LRU.
 
 Pages of *volatile* files (temp tables, never-logged Phoenix scratch space)
 are registered via :meth:`register_volatile`; they are never flushed and
@@ -27,7 +37,7 @@ from repro.storage.page import Page
 
 
 class BufferPool:
-    """LRU page cache with steal/no-force semantics."""
+    """Scan-resistant LRU page cache with steal/no-force semantics."""
 
     def __init__(self, disk: SimulatedDisk, meter: Meter | None = None,
                  capacity_pages: int = 4096, wal=None):
@@ -51,6 +61,8 @@ class BufferPool:
         self._volatile_files: set[int] = set()
         self.hits = 0
         self.misses = 0
+        #: Misses admitted at the LRU end by a cold (large-file) scan.
+        self.cold_admissions = 0
 
     def attach_wal(self, wal) -> None:
         """Late-bind the WAL (server wires storage and log together)."""
@@ -71,12 +83,14 @@ class BufferPool:
     # -- page access --------------------------------------------------------
 
     def get_page(self, file_id: int, page_no: int,
-                 cost_factor: float = 1.0) -> Page | None:
+                 cost_factor: float = 1.0, cold: bool = False) -> Page | None:
         """Return the page, faulting it in from disk on a miss.
 
         Returns ``None`` if the page exists neither in the pool nor on
         disk.  ``cost_factor`` scales the charged I/O time (work
-        amplification for base tables).
+        amplification for base tables).  A ``cold`` access (a scan of a
+        file larger than the pool) neither promotes a hit nor admits a
+        miss anywhere but the LRU end.
         """
         key = (file_id, page_no)
         if file_id in self._volatile_files:
@@ -89,7 +103,8 @@ class BufferPool:
         page = self._frames.get(key)
         if page is not None:
             self.hits += 1
-            self._frames.move_to_end(key)
+            if not cold:
+                self._frames.move_to_end(key)
             return page
         self.misses += 1
         image = self._disk.read_page(file_id, page_no)
@@ -99,6 +114,9 @@ class BufferPool:
         page = image.clone()
         self._charge_io(self._read_cost(cost_factor))
         self._admit(key, page)
+        if cold:
+            self._frames.move_to_end(key, last=False)
+            self.cold_admissions += 1
         return page
 
     def new_page(self, file_id: int, page_no: int, capacity: int) -> Page:

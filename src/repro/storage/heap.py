@@ -121,10 +121,17 @@ class HeapFile:
         boundaries coincide with page-fault boundaries — any disk charge
         the pool makes happens at exactly the same consumption point as
         under row-at-a-time iteration.  ``scan`` is this, flattened.
+
+        A file larger than the pool is read cold (see
+        :class:`BufferPool`): the scan recycles one frame rather than
+        flushing every other table's pages, and its own resident pages
+        survive to be hit by the next scan.
         """
         file_id = self.file_id
+        cold = self.page_count > self._pool.capacity_pages
         for page_no in range(self.page_count):
-            page = self._pool.get_page(file_id, page_no, self.cost_factor)
+            page = self._pool.get_page(file_id, page_no, self.cost_factor,
+                                       cold)
             if page is None:
                 continue
             yield [(RowId(file_id, page_no, slot), row)

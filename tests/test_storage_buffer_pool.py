@@ -1,11 +1,16 @@
 """Tests for the buffer pool: caching, eviction, crash, WAL interplay."""
 
+from collections import OrderedDict
+
 import pytest
 
+from repro.engine.database import DatabaseEngine
+from repro.engine.session import EngineSession
 from repro.sim.costs import SERVER_DISK
 from repro.sim.meter import Meter
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
+from repro.storage.heap import HeapFile, RowId
 from repro.storage.page import Page
 
 
@@ -182,3 +187,166 @@ class TestBufferPool:
         pool = BufferPool(disk, meter)
         with pytest.raises(ValueError):
             pool.mark_dirty(1, 0)
+
+
+# -- scan resistance ----------------------------------------------------------
+
+
+def _heap_on_disk(pool, file_id, pages):
+    """A heap of ``pages`` one-row pages, flushed and evicted: every page
+    lives on disk only."""
+    heap = HeapFile(file_id, rows_per_page=1, buffer_pool=pool)
+    for i in range(pages):
+        heap.apply_insert(heap.find_insert_target(), (file_id, i))
+    pool.flush_all()
+    pool.crash()
+    return heap
+
+
+def _scan(heap):
+    for _block in heap.scan_pages():
+        pass
+
+
+def _faults(pool, access):
+    """Misses charged by ``access()``."""
+    before = pool.misses
+    access()
+    return pool.misses - before
+
+
+class TestScanResistance:
+    CAPACITY = 8
+
+    @pytest.fixture
+    def pool(self, disk, meter):
+        return BufferPool(disk, meter, capacity_pages=self.CAPACITY)
+
+    def _read_hot(self, hot):
+        for page_no in range(hot.page_count):
+            hot.read(RowId(hot.file_id, page_no, 0))
+
+    def test_hot_file_survives_scan_of_larger_file(self, pool):
+        # Under plain LRU each scan would evict all three hot pages.
+        hot = _heap_on_disk(pool, 1, 3)
+        big = _heap_on_disk(pool, 2, 3 * self.CAPACITY)
+        assert _faults(pool, lambda: self._read_hot(hot)) == 3
+        for _ in range(3):
+            _scan(big)
+            assert _faults(pool, lambda: self._read_hot(hot)) == 0
+
+    def test_later_scans_hit_pages_still_resident(self, pool):
+        big = _heap_on_disk(pool, 2, 3 * self.CAPACITY)
+        assert _faults(pool, lambda: _scan(big)) == big.page_count
+        for _ in range(3):
+            resident = sum(1 for key in pool._frames if key[0] == 2)
+            assert resident == self.CAPACITY
+            hits_before = pool.hits
+            _scan(big)
+            assert pool.hits - hits_before == resident - 1
+        # Under LRU every scan of a file larger than the pool misses on
+        # every page; here all but one frame's worth carry over.
+        assert pool.misses == big.page_count + 3 * (
+            big.page_count - self.CAPACITY + 1)
+
+    def test_file_that_fits_follows_lru_exactly(self, pool):
+        small = _heap_on_disk(pool, 1, self.CAPACITY - 2)
+        other = _heap_on_disk(pool, 2, 4)
+        reference = OrderedDict()
+        observed, expected = [], []
+
+        def model(key):
+            hit = key in reference
+            if hit:
+                reference.move_to_end(key)
+            else:
+                if len(reference) >= self.CAPACITY:
+                    reference.popitem(last=False)
+                reference[key] = None
+            expected.append(hit)
+
+        def touch(heap, page_no):
+            before = pool.hits
+            heap.read(RowId(heap.file_id, page_no, 0))
+            observed.append(pool.hits > before)
+            model((heap.file_id, page_no))
+
+        def scan(heap):
+            before = pool.hits
+            for page_no, _block in enumerate(heap.scan_pages()):
+                observed.append(pool.hits > before)
+                before = pool.hits
+                model((heap.file_id, page_no))
+
+        scan(small)
+        touch(other, 0)
+        touch(other, 1)
+        scan(other)
+        scan(small)
+        touch(other, 3)
+        touch(small, 0)
+        scan(other)
+        scan(small)
+        assert observed == expected
+        assert False in observed and True in observed
+        assert pool.cold_admissions == 0
+
+    def test_cold_dirty_page_forces_wal_before_eviction(self, disk, meter):
+        forced = []
+
+        class FakeWal:
+            def force(self, up_to_lsn=None, sync=True):
+                forced.append(up_to_lsn)
+
+        pool = BufferPool(disk, meter, capacity_pages=2, wal=FakeWal())
+        for i in range(3):
+            pool.new_page(1, i, capacity=4)
+        pool.flush_all()
+        pool.crash()
+        forced.clear()
+        page = pool.get_page(1, 0, cold=True)
+        page.insert(("x",))
+        page.page_lsn = 42
+        pool.mark_dirty(1, 0, rec_lsn=42)
+        pool.get_page(1, 1)           # fills the pool; no eviction yet
+        assert forced == []
+        pool.get_page(1, 2, cold=True)  # evicts the cold page first
+        assert forced == [42]
+        assert not pool.is_dirty(1, 0)
+        assert disk.read_page(1, 0).read(0) == ("x",)
+
+    def test_cold_admissions_count_cold_misses(self, pool):
+        hot = _heap_on_disk(pool, 1, 3)
+        small = _heap_on_disk(pool, 2, self.CAPACITY)
+        big = _heap_on_disk(pool, 3, 2 * self.CAPACITY)
+        self._read_hot(hot)
+        _scan(small)
+        assert pool.cold_admissions == 0
+        cold_misses = 0
+        for _ in range(3):
+            cold_misses += _faults(pool, lambda: _scan(big))
+            assert pool.cold_admissions == cold_misses
+        _scan(small)
+        self._read_hot(hot)
+        assert pool.cold_admissions == cold_misses
+
+
+def test_sys_buffer_pool_view_reports_pool_state():
+    engine = DatabaseEngine(meter=Meter())
+    engine.buffer_pool.capacity_pages = 4
+    session = EngineSession(session_id=1)
+    engine.execute("CREATE TABLE t (k INT NOT NULL, pad CHAR(200), "
+                   "PRIMARY KEY (k))", session)
+    engine.execute("INSERT INTO t VALUES " + ", ".join(
+        f"({i}, 'x')" for i in range(200)), session)
+    engine.checkpoint()
+    engine.execute("SELECT count(*) FROM t", session).fetch_all()
+    pool = engine.buffer_pool
+    assert pool.cold_admissions > 0
+    expected = {name: getattr(pool, name)
+                for name in ("capacity_pages", "resident_pages",
+                             "dirty_pages", "hits", "misses",
+                             "cold_admissions")}
+    rows = dict(engine.execute(
+        "SELECT metric, value FROM sys_buffer_pool", session).fetch_all())
+    assert rows == expected

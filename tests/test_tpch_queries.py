@@ -8,6 +8,7 @@ from repro.sim.meter import Meter
 from repro.workloads.tpch.datagen import generate, generate_refresh_orders
 from repro.workloads.tpch.queries import QUERIES, q11, top_n_lineitem
 from repro.workloads.tpch.schema import create_schema, load
+from repro.workloads.tpcc.concurrent import digest_database
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +105,44 @@ def test_refresh_generator_continues_keys(tpch_engine):
     assert data.max_orderkey == max(o[0] for o in orders)
     order_keys = {o[0] for o in orders}
     assert {l[0] for l in lineitems} == order_keys
+
+
+# -- page residency never changes answers -------------------------------------
+
+#: Smaller than lineitem (179 pages at SF 0.002), larger than every
+#: other table, so lineitem scans run cold and the rest stay plain LRU.
+SMALL_POOL_PAGES = 64
+
+POOL_EQUIVALENCE_STATEMENTS = (
+    QUERIES[6], QUERIES[14], QUERIES[19],
+    "UPDATE lineitem SET l_comment = 'cold' WHERE l_quantity > 45",
+    "DELETE FROM lineitem WHERE l_quantity < 3",
+    QUERIES[6], QUERIES[14], QUERIES[19],
+)
+
+
+def _pool_equivalence_run(pool_pages):
+    engine = DatabaseEngine(meter=Meter())
+    if pool_pages is not None:
+        # Shrunk before loading: eviction only happens on admission.
+        engine.buffer_pool.capacity_pages = pool_pages
+    session = EngineSession(session_id=1)
+    create_schema(engine, session)
+    load(engine, session, generate(scale=0.002, seed=7))
+    results = []
+    for sql in POOL_EQUIVALENCE_STATEMENTS:
+        result = engine.execute(sql, session)
+        results.append(result.fetch_all() if result.returns_rows
+                       else result.rowcount)
+    return engine, results, digest_database(engine)
+
+
+def test_small_pool_changes_no_answer_or_table():
+    small, small_results, small_digest = \
+        _pool_equivalence_run(SMALL_POOL_PAGES)
+    assert small.table("lineitem").heap.page_count > SMALL_POOL_PAGES
+    assert small.buffer_pool.cold_admissions > 0
+    big, big_results, big_digest = _pool_equivalence_run(None)
+    assert big.buffer_pool.cold_admissions == 0
+    assert small_results == big_results
+    assert small_digest == big_digest
