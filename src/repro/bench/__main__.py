@@ -321,11 +321,12 @@ def _run_optbench(args) -> int:
     virtual_seconds, optimizer.*}`` line per leg to
     ``optbench_history.jsonl`` (the sentinel holds the heuristic leg's
     clock bit-stable and its optimizer counters at zero).  Fails (exit
-    1) if the cost leg is not strictly faster on at least 3 table-1
-    queries, if its Top-N plan does not use TopNHeapSort (or the
-    heuristic plan does), if the heuristic leg planned through the cost
-    path at all, or if any cost-leg result differs from the heuristic
-    leg's beyond float-summation-order tolerance.
+    1) if the cost leg is not faster on at least 3 table-1 queries (by
+    more than ``OPTBENCH_NOISE`` of the heuristic time), if its Top-N
+    plan does not use TopNHeapSort (or the heuristic plan does), if the
+    heuristic leg planned through the cost path at all, or if any
+    cost-leg result differs from the heuristic leg's beyond
+    float-summation-order tolerance.
     """
     import datetime
     import json

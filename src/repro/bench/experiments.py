@@ -1125,6 +1125,13 @@ class OptbenchLeg:
         return sum(self.query_seconds.values()) + self.topn_seconds
 
 
+#: A cost-leg query is faster (or slower) only when its time differs
+#: from the heuristic leg's by more than this share: smaller differences
+#: are float summation noise from a different charge order, not a
+#: better or worse plan.
+OPTBENCH_NOISE = 1e-9
+
+
 @dataclass
 class OptbenchResult:
     scale: float
@@ -1132,10 +1139,19 @@ class OptbenchResult:
     cost: OptbenchLeg = None
 
     def faster_queries(self) -> list[int]:
-        """Table-1 queries the cost leg finishes strictly sooner."""
-        return [n for n in sorted(self.heuristic.query_seconds)
-                if self.cost.query_seconds[n]
-                < self.heuristic.query_seconds[n]]
+        """Table-1 queries the cost leg finishes sooner, beyond noise."""
+        return [n for n, h, c in self._query_pairs()
+                if h - c > OPTBENCH_NOISE * h]
+
+    def slower_queries(self) -> list[int]:
+        """Table-1 queries the cost leg finishes later, beyond noise."""
+        return [n for n, h, c in self._query_pairs()
+                if c - h > OPTBENCH_NOISE * h]
+
+    def _query_pairs(self):
+        cost = self.cost.query_seconds
+        for n, h in sorted(self.heuristic.query_seconds.items()):
+            yield n, h, cost[n]
 
     def format(self) -> str:
         body = []
@@ -1160,10 +1176,16 @@ class OptbenchResult:
             f"virtual seconds)",
             ["Query", "Heuristic", "Cost", "Difference", "Ratio"],
             body, footers)
+        faster = self.faster_queries()
+        h_secs = self.heuristic.query_seconds
+        c_secs = self.cost.query_seconds
+        slower = [f"Q{n:02d} (+{c_secs[n] / h_secs[n] - 1:.1%})"
+                  for n in self.slower_queries()]
         lines = [table, "",
-                 f"cost leg faster on {len(self.faster_queries())} "
-                 f"table-1 queries: "
-                 + " ".join(f"Q{n:02d}" for n in self.faster_queries()),
+                 f"cost leg faster on {len(faster)} table-1 queries: "
+                 + " ".join(f"Q{n:02d}" for n in faster),
+                 f"cost leg slower on {len(slower)} table-1 queries: "
+                 + " ".join(slower),
                  "top-N plan (cost leg):"]
         lines += [f"  {line}" for line in self.cost.topn_plan]
         lines.append("optimizer counters (cost leg):")

@@ -45,8 +45,9 @@ def slot_of(fn) -> int | None:
 def is_impure(fn) -> bool:
     """True when evaluating ``fn`` can have side effects on the meter
     (the expression contains a subquery, whose execution charges virtual
-    time).  Impure expressions pin the operator to row-at-a-time
-    evaluation so charge ordering stays bit-identical."""
+    time).  Operators read their input one row at a time when an
+    expression is impure, so each row's deferred charges are realized
+    before the subquery charges."""
     return getattr(fn, "_impure", False)
 
 
@@ -458,10 +459,10 @@ class ExprCompiler:
         bare level-0 column read of that tuple index — eligible for the
         batch executor's direct-indexing fast paths) and ``_impure`` (the
         subtree contains a subquery, so evaluation charges the meter and
-        the operator must stay row-at-a-time).  Constant subtrees are
-        folded to their value at compile time; a fold that raises falls
-        back to the runtime closure so errors still surface during
-        execution, exactly as before.
+        the operator must read its input one row at a time).  Constant
+        subtrees are folded to their value at compile time; a fold that
+        raises falls back to the runtime closure so errors still surface
+        during execution, exactly as before.
         """
         slot = self._replacements.get(id(node))
         if slot is not None:

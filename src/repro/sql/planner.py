@@ -493,7 +493,11 @@ class Planner:
             joined = self._join_relations(left, right, on_conjuncts,
                                           outer_scope, kind=item.kind,
                                           require_all=True)
-            leftover = [c.expr for c in on_conjuncts if not c.consumed]
+            leftover = [c for c in on_conjuncts if not c.consumed]
+            if any(c.has_subquery for c in leftover):
+                # Join keys and residuals never carry subqueries, so the
+                # join operators need no one-row input path (DESIGN §7).
+                raise PlanningError("subqueries in ON are unsupported")
             if leftover:
                 raise PlanningError(
                     "ON condition references columns outside the join")

@@ -119,8 +119,8 @@ class HeapFile:
 
         The batch executor consumes pages as blocks so its batch
         boundaries coincide with page-fault boundaries — any disk charge
-        the pool makes happens at exactly the same consumption point as
-        under row-at-a-time iteration.  ``scan`` is this, flattened.
+        the pool makes happens on the pull that first needs the page.
+        ``scan`` is this, flattened.
 
         A file larger than the pool is read cold (see
         :class:`BufferPool`): the scan recycles one frame rather than

@@ -108,3 +108,36 @@ class TestNotNullEnforcement:
         # Nullable columns still accept NULL.
         run("UPDATE t SET b = NULL")
         assert run("SELECT a, b FROM t") == [(1, None)]
+
+
+class TestOptbenchCounting:
+    """Wins and losses must beat float summation noise."""
+
+    @staticmethod
+    def _result(pairs):
+        from repro.bench.experiments import (OptbenchLeg, OptbenchResult)
+
+        heuristic = OptbenchLeg(mode="heuristic", topn_seconds=2.0)
+        cost = OptbenchLeg(mode="cost", topn_seconds=1.0)
+        for number, (h, c) in enumerate(pairs, start=1):
+            heuristic.query_seconds[number] = h
+            cost.query_seconds[number] = c
+        return OptbenchResult(scale=0.005, heuristic=heuristic, cost=cost)
+
+    def test_noise_is_neither_win_nor_loss(self):
+        result = self._result([
+            (84.379, 84.379 - 1e-14),     # summation noise: no win
+            (109.795, 109.741),           # real win
+            (255.857, 255.857 * (1 - 5e-10)),  # below 1e-9: no win
+            (146.134, 155.352),           # real loss
+            (13.733, 13.733 + 1e-12),     # noise: no loss
+            (3.0, 3.0),
+        ])
+        assert result.faster_queries() == [2]
+        assert result.slower_queries() == [4]
+
+    def test_format_prints_wins_and_losses(self):
+        text = self._result([(20.0, 19.0), (100.0, 106.3),
+                             (50.0, 50.0 - 1e-14)]).format()
+        assert "cost leg faster on 1 table-1 queries: Q01" in text
+        assert "cost leg slower on 1 table-1 queries: Q02 (+6.3%)" in text

@@ -24,15 +24,6 @@ from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 
 
-@pytest.fixture(params=["batch", "rows"])
-def exec_mode(request, monkeypatch):
-    if request.param == "rows":
-        monkeypatch.setenv("REPRO_ROW_EXEC", "1")
-    else:
-        monkeypatch.delenv("REPRO_ROW_EXEC", raising=False)
-    return request.param
-
-
 @pytest.fixture
 def world():
     engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=0)
@@ -85,7 +76,7 @@ class TestAccessPaths:
                             "AND id = 3")
         assert plan[0].startswith("PointLookup")
 
-    def test_range_scan_rows_match_seq_scan(self, world, exec_mode):
+    def test_range_scan_rows_match_seq_scan(self, world):
         _engine, run = world
         indexed = run("SELECT w, d, id, v FROM ev "
                       "WHERE w = 1 AND d = 2 AND id >= 2")
@@ -96,7 +87,7 @@ class TestAccessPaths:
         assert sorted(indexed) == sorted(scanned)
         assert len(indexed) == 2
 
-    def test_exclusive_bounds(self, world, exec_mode):
+    def test_exclusive_bounds(self, world):
         _engine, run = world
         assert run("SELECT id FROM ev WHERE w = 1 AND d = 1 "
                    "AND id > 1 AND id < 3") == [(2,)]
@@ -118,7 +109,7 @@ class TestIndexOnly:
         plan = plan_of(run, "SELECT v FROM ev WHERE w = 1 AND d = 2")
         assert not any("index-only" in line for line in plan)
 
-    def test_index_only_rows_and_counter(self, world, exec_mode):
+    def test_index_only_rows_and_counter(self, world):
         engine, run = world
         before = engine.meter.executor_stats.get("index_only_scans", 0)
         assert run("SELECT id FROM ev WHERE w = 2 AND d = 1 "
@@ -126,7 +117,7 @@ class TestIndexOnly:
         after = engine.meter.executor_stats.get("index_only_scans", 0)
         assert after == before + 1
 
-    def test_covering_aggregate_is_index_only(self, world, exec_mode):
+    def test_covering_aggregate_is_index_only(self, world):
         _engine, run = world
         plan = plan_of(run, "SELECT count(*) FROM ev WHERE w = 1")
         assert any("index-only" in line for line in plan)
@@ -139,7 +130,7 @@ class TestIndexOnly:
 
 
 class TestSortElimination:
-    def test_order_by_key_suffix_drops_sort(self, world, exec_mode):
+    def test_order_by_key_suffix_drops_sort(self, world):
         engine, run = world
         sql = "SELECT v FROM ev WHERE w = 1 AND d = 2 ORDER BY id"
         plan = plan_of(run, sql)
@@ -185,7 +176,7 @@ class TestSortElimination:
         plan = plan_of(run, "SELECT v FROM ev WHERE w = 1 ORDER BY id")
         assert any("Sort" in line for line in plan)
 
-    def test_eliminated_sort_rows_are_ordered(self, world, exec_mode):
+    def test_eliminated_sort_rows_are_ordered(self, world):
         _engine, run = world
         assert run("SELECT id, v FROM ev WHERE w = 2 AND d = 2 "
                    "ORDER BY id") == [(1, 221), (2, 222), (3, 223)]
@@ -225,20 +216,20 @@ class TestNullIndexKeys:
         run("INSERT INTO nx VALUES (1, 5), (2, NULL), (3, 5)")
         return engine, run
 
-    def test_create_index_over_null_rows(self, nworld, exec_mode):
+    def test_create_index_over_null_rows(self, nworld):
         _engine, run = nworld
         run("CREATE INDEX ix_nx ON nx (grp)")  # used to TypeError
         assert sorted(run("SELECT id FROM nx WHERE grp = 5")) \
             == [(1,), (3,)]
 
-    def test_insert_null_into_indexed_column(self, nworld, exec_mode):
+    def test_insert_null_into_indexed_column(self, nworld):
         _engine, run = nworld
         run("CREATE INDEX ix_nx ON nx (grp)")
         assert run("INSERT INTO nx VALUES (4, NULL)") == 1
         assert sorted(run("SELECT id FROM nx WHERE grp IS NULL")) \
             == [(2,), (4,)]
 
-    def test_upper_bounded_range_excludes_null(self, nworld, exec_mode):
+    def test_upper_bounded_range_excludes_null(self, nworld):
         # `grp <= 10` is consumed by the range scan (no residual
         # filter), so the scan itself must not leak the NULL-sentinel
         # keys that sort below every value.
@@ -250,27 +241,26 @@ class TestNullIndexKeys:
                    "ORDER BY grp") == [(1,), (3,)]
         # Same property asserted on the operator directly, independent
         # of whether the planner picks the index for a bare upper bound.
-        from repro.sql.executor import ExecContext, IndexSeek
+        from repro.sql.executor import IndexSeek, run_plan
 
         table = engine._tables["nx"]
         hi_only = IndexSeek(table, "ix_nx", prefix_fns=[],
                             hi_fn=lambda ctx: 10)
-        assert sorted(row[0] for row in
-                      hi_only.rows(ExecContext(meter=None))) == [1, 3]
+        assert sorted(row[0] for row in run_plan(hi_only, None)) == [1, 3]
 
     def test_seek_binding_null_matches_nothing(self, nworld):
         # SQL three-valued logic: a seek whose prefix or bound value
         # evaluates to NULL short-circuits to zero matches.
-        from repro.sql.executor import ExecContext, IndexSeek
+        from repro.sql.executor import IndexSeek, run_plan
 
         engine, run = nworld
         run("CREATE INDEX ix_nx ON nx (grp)")
         table = engine._tables["nx"]
         eq_null = IndexSeek(table, "ix_nx", prefix_fns=[lambda ctx: None])
-        assert list(eq_null.rows(ExecContext(meter=None))) == []
+        assert run_plan(eq_null, None) == []
         lt_null = IndexSeek(table, "ix_nx", prefix_fns=[],
                             hi_fn=lambda ctx: None)
-        assert list(lt_null.rows(ExecContext(meter=None))) == []
+        assert run_plan(lt_null, None) == []
 
     def test_unique_index_still_rejects_null(self, nworld):
         from repro.errors import ConstraintError

@@ -148,38 +148,3 @@ def test_delete_matches_reference(rows):
     engine.execute("DELETE FROM t WHERE b IS NULL", session)
     got = run(engine, session, "SELECT count(*) FROM t")
     assert got[0][0] == sum(1 for _a, b, _c in rows if b is not None)
-
-
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(rows=table_rows(), threshold=st.integers(-5, 5))
-def test_batch_and_row_engines_bit_identical(rows, threshold):
-    """The batch executor must match row-at-a-time mode exactly —
-    same rows AND same virtual clock — on randomized inputs."""
-    import os
-
-    queries = [
-        f"SELECT a, c FROM t WHERE a > {threshold} ORDER BY a, c",
-        "SELECT c, count(*), sum(a) FROM t GROUP BY c ORDER BY c",
-        f"SELECT TOP 3 DISTINCT a FROM t WHERE b <> {threshold} "
-        "ORDER BY a",
-    ]
-
-    def outputs():
-        engine, session = make_engine(rows)
-        got = [run(engine, session, sql) for sql in queries]
-        return got, engine.meter.now, dict(engine.meter.counters)
-
-    saved = os.environ.pop("REPRO_ROW_EXEC", None)
-    try:
-        batch = outputs()
-        os.environ["REPRO_ROW_EXEC"] = "1"
-        row = outputs()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ROW_EXEC", None)
-        else:
-            os.environ["REPRO_ROW_EXEC"] = saved
-    assert batch[0] == row[0]
-    assert batch[1] == row[1]
-    assert batch[2] == row[2]
