@@ -413,6 +413,10 @@ TPCCBENCH_LEGS = ((8, 4), (32, 2), (128, 1))
 TPCCBENCH_SCALE = dict(items=100, customers_per_district=10,
                        initial_orders_per_district=5)
 
+#: Most deadlock aborts per committed transaction the row leg may pay at
+#: any session count (each abort reruns a whole transaction).
+TPCCBENCH_MAX_ABORTS_PER_COMMIT = 1.0
+
 
 def _run_tpccbench(args) -> int:
     """Interleaved multi-session TPC-C: row vs table lock granularity.
@@ -427,8 +431,10 @@ def _run_tpccbench(args) -> int:
     sessions, virtual_seconds, locks.*}`` line per run to
     ``tpccbench_history.jsonl``.  Fails (exit 1) if the row leg's
     makespan is not strictly below the table leg's at every session
-    count, or if any leg's final database digest differs from the
-    serial reference (concurrency must never change committed state).
+    count, if the row leg aborts more than
+    ``TPCCBENCH_MAX_ABORTS_PER_COMMIT`` transactions per committed one,
+    or if any leg's final database digest differs from the serial
+    reference (concurrency must never change committed state).
     """
     import datetime
     import json
@@ -455,7 +461,7 @@ def _run_tpccbench(args) -> int:
              "",
              f"{'sessions':>8}  {'txns':>4}  {'serial':>10}  "
              f"{'table':>10}  {'row':>10}  {'row/table':>9}  "
-             f"{'deadlocks':>9}  {'waits':>7}"]
+             f"{'deadlocks':>9}  {'aborts/commit':>13}  {'waits':>7}"]
     failed = False
     entries = []
     for sessions, txns in TPCCBENCH_LEGS:
@@ -482,16 +488,23 @@ def _run_tpccbench(args) -> int:
             entries.append(entry)
         serial, table, row = runs["serial"], runs["table"], runs["row"]
         ratio = row.makespan_seconds / table.makespan_seconds
+        aborts_per_commit = row.txn_retries / max(row.committed, 1)
         lines.append(
             f"{sessions:>8}  {txns:>4}  {serial.makespan_seconds:>10.4f}  "
             f"{table.makespan_seconds:>10.4f}  "
             f"{row.makespan_seconds:>10.4f}  {ratio:>9.3f}  "
-            f"{row.deadlocks:>9}  {row.lock_waits:>7}")
+            f"{row.deadlocks:>9}  {aborts_per_commit:>13.2f}  "
+            f"{row.lock_waits:>7}")
         if row.makespan_seconds >= table.makespan_seconds:
             print(f"FAIL: at {sessions} sessions the row-locking "
                   f"makespan ({row.makespan_seconds:.4f}s) is not below "
                   f"the table-locking makespan "
                   f"({table.makespan_seconds:.4f}s)")
+            failed = True
+        if aborts_per_commit > TPCCBENCH_MAX_ABORTS_PER_COMMIT:
+            print(f"FAIL: at {sessions} sessions the row leg aborted "
+                  f"{aborts_per_commit:.2f} transactions per committed "
+                  f"one (limit {TPCCBENCH_MAX_ABORTS_PER_COMMIT:g})")
             failed = True
         for leg in ("table", "row"):
             if digests[leg] != digests["serial"]:

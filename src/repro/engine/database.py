@@ -1071,7 +1071,12 @@ class DatabaseEngine:
         then takes row S locks per produced row — while tables without a
         primary key (and non-table names: views, sys_* snapshots, which
         keep the seed's phantom S entry) stay at table S.
+
+        Locks are taken in name order: ``names`` may come from a set,
+        and which lock a conflict stops at must not depend on the
+        string hash seed.
         """
+        names = sorted(names)
         if not self._row_locking():
             for name in names:
                 self.locks.acquire(txn_id, name, LockMode.SHARED)
@@ -1084,11 +1089,19 @@ class DatabaseEngine:
             self.locks.acquire(txn_id, name, mode)
 
     def _reader_probe(self, txn: Transaction):
-        """Per-row S-lock probe (see ``Meter.lock_probe``), or None under
-        the default table granularity."""
+        """Per-row read-lock probe (see ``Meter.lock_probe``), or None
+        under the default table granularity.
+
+        A transaction that has already written reads with update intent
+        (row U): a read-write transaction is the one likely to go on and
+        update what it read, and two S holders converting to X on the
+        same row deadlock, where two U requesters simply queue.
+        Transactions that have not written take row S.
+        """
         if not self._row_locking():
             return None
         locks = self.locks
+        mode = LockMode.UPDATE if txn.has_written else LockMode.SHARED
 
         def probe(table: Table, rid: RowId, row: tuple | None) -> None:
             info = table.info
@@ -1105,7 +1118,7 @@ class DatabaseEngine:
                     return
             locks.acquire(txn.txn_id, info.name, LockMode.INTENT_SHARED)
             locks.acquire_row(txn.txn_id, info.name,
-                              table.row_lock_key(row), LockMode.SHARED)
+                              table.row_lock_key(row), mode)
 
         return probe
 

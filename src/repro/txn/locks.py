@@ -10,7 +10,7 @@ Two regimes, selected by ``CostModel.lock_granularity``:
   applications already handle transaction aborts.
 
 * ``"row"`` enables the hierarchy: intention modes (IS/IX) at table
-  granularity plus S/X locks at row granularity (keyed by table +
+  granularity plus S/U/X locks at row granularity (keyed by table +
   primary key), still strict two-phase (everything is released only by
   :meth:`release_all` at commit/abort).  Conflicts *wait* instead of
   aborting: the requester is registered in the wait-for graph and the
@@ -27,19 +27,26 @@ Lock escalation: once a transaction holds more than
 ``CostModel.lock_escalation_threshold`` row locks on one table, the
 manager trades them for a single table-granularity S/X lock (when no
 other transaction conflicts at table level; otherwise escalation is
-retried on the next acquisition).
+retried on the next acquisition).  A U row counts as an X row here, so
+escalation never turns update intent back into a table S lock that a
+later write would have to convert to X.
 
 Compatibility matrix (request column vs. held row)::
 
-         IS    IX    S     X
-    IS   yes   yes   yes   no
-    IX   yes   yes   no    no
-    S    yes   no    yes   no
-    X    no    no    no    no
+         IS    IX    S     U     X
+    IS   yes   yes   yes   -     no
+    IX   yes   yes   no    -     no
+    S    yes   no    yes   yes   no
+    U    -     -     yes   no    no
+    X    no    no    no    no    no
 
-Row locks only use S and X.  Every row-lock holder also holds at least
-an intention lock on the table, so table-level requests need only be
-checked against table-level holders.
+Row locks only use S, U and X (``-``: never meet, U exists only at row
+granularity).  U is the update (intent-to-write) read lock: it shares
+the row with readers, but only one transaction at a time may hold it, so
+two readers that both go on to write the row queue on the U request
+instead of deadlocking on an S->X conversion.  Every row-lock holder
+also holds at least an intention lock on the table, so table-level
+requests need only be checked against table-level holders.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from repro.errors import DeadlockError, LockWaitError
 
 class LockMode(enum.Enum):
     SHARED = "S"
+    UPDATE = "U"
     EXCLUSIVE = "X"
     INTENT_SHARED = "IS"
     INTENT_EXCLUSIVE = "IX"
@@ -60,18 +68,21 @@ class LockMode(enum.Enum):
 _IS = LockMode.INTENT_SHARED
 _IX = LockMode.INTENT_EXCLUSIVE
 _S = LockMode.SHARED
+_U = LockMode.UPDATE
 _X = LockMode.EXCLUSIVE
 
 #: (held, requested) pairs that may coexist across transactions.
 _COMPATIBLE: frozenset = frozenset({
     (_IS, _IS), (_IS, _IX), (_IS, _S),
     (_IX, _IS), (_IX, _IX),
-    (_S, _IS), (_S, _S),
+    (_S, _IS), (_S, _S), (_S, _U),
+    (_U, _S),
 })
 
 #: held mode -> requested modes it subsumes for the *same* transaction.
 _COVERS: dict[LockMode, frozenset] = {
-    _X: frozenset({_X, _S, _IX, _IS}),
+    _X: frozenset({_X, _U, _S, _IX, _IS}),
+    _U: frozenset({_U, _S, _IS}),
     _S: frozenset({_S, _IS}),
     _IX: frozenset({_IX, _IS}),
     _IS: frozenset({_IS}),
@@ -86,7 +97,7 @@ for _a in LockMode:
         elif _a in _COVERS[_b]:
             _SUPREMUM[(_a, _b)] = _b
         else:
-            _SUPREMUM[(_a, _b)] = _X  # {S, IX} (and anything with X) -> X
+            _SUPREMUM[(_a, _b)] = _X  # {S, IX}, {U, IX} -> X
 
 
 def _compatible(held: LockMode, requested: LockMode) -> bool:
@@ -111,7 +122,7 @@ class LockManager:
     def __init__(self, meter=None):
         # table -> {txn_id -> LockMode}
         self._locks: dict[str, dict[int, LockMode]] = defaultdict(dict)
-        # (table, row key) -> {txn_id -> LockMode (S/X only)}
+        # (table, row key) -> {txn_id -> LockMode (S/U/X only)}
         self._row_locks: dict[tuple, dict[int, LockMode]] = {}
         # txn_id -> table -> set of row keys (release + escalation count)
         self._txn_rows: dict[int, dict[str, set]] = {}
@@ -174,7 +185,7 @@ class LockManager:
 
     def acquire_row(self, txn_id: int, table_name: str, key: tuple,
                     mode: LockMode) -> None:
-        """Grant an S/X lock on one row (identified by its primary key).
+        """Grant an S/U/X lock on one row (identified by its primary key).
 
         The caller must already hold at least an intention lock on the
         table.  A table-granularity S/X held by the same transaction
@@ -219,7 +230,8 @@ class LockManager:
             return
         target = _S
         for key in keys:
-            if self._row_locks.get((table, key), {}).get(txn_id) is _X:
+            if self._row_locks.get((table, key), {}).get(txn_id) \
+                    in (_U, _X):
                 target = _X
                 break
         holders = self._locks[table]
@@ -354,6 +366,21 @@ class LockManager:
         """Blocker txn ids of a registered waiter (None if not waiting)."""
         wait = self._waits.get(txn_id)
         return wait[0] if wait is not None else None
+
+    def wait_over(self, txn_id: int) -> bool:
+        """True once ``txn_id`` has no wait left to sit out: it holds no
+        registered wait (it ended, or a later request was granted), or
+        every blocker of its wait has released its locks — under strict
+        two-phase locking, has ended.  A parked waiter retried any
+        earlier would only conflict again."""
+        wait = self._waits.get(txn_id)
+        if wait is None:
+            return True
+        return not any(self._holds_locks(blocker) for blocker in wait[0])
+
+    def _holds_locks(self, txn_id: int) -> bool:
+        return txn_id in self._txn_rows or any(
+            txn_id in holders for holders in self._locks.values())
 
     def waiters(self) -> dict[int, tuple]:
         """txn_id -> (blockers, resource) for every registered waiter."""

@@ -69,6 +69,11 @@ class Transaction:
     def is_active(self) -> bool:
         return self.state is TxnState.ACTIVE
 
+    @property
+    def has_written(self) -> bool:
+        """True once this transaction has logged a change."""
+        return bool(self.modified_tables)
+
 
 class TransactionManager:
     """Creates transactions and mediates all logged changes."""

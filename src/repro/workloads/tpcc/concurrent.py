@@ -28,13 +28,15 @@ row-lock legs, so the final state must be schedule-independent):
 Conflict handling mirrors what a real client does:
 
 * ``HYT00`` (row granularity ``LockWaitError``): the transaction keeps
-  its locks; the session parks and retries the *same statement* once
-  another transaction ends.  The park duration is charged as
-  ``lock wait`` seconds through the meter's overlap machinery (waiting
-  burns no server CPU, so the global clock stays put).
+  its locks; the session parks on the wait the lock manager just
+  registered and retries the *same statement* once every transaction it
+  waits for has ended (wake on release: a commit elsewhere does not
+  wake it).  The park duration is charged as ``lock wait`` seconds
+  through the meter's overlap machinery (waiting burns no server CPU,
+  so the global clock stays put).
 * ``40001`` (deadlock victim, or any conflict under the seed's no-wait
-  table locks): roll back, park, and rerun the whole transaction
-  descriptor (counted in ``locks.txn_retries``).
+  table locks): roll back, park until any transaction ends, and rerun
+  the whole transaction descriptor (counted in ``locks.txn_retries``).
 """
 
 from __future__ import annotations
@@ -337,7 +339,7 @@ class MixResult:
 class _Session:
     __slots__ = ("index", "app", "plan", "w_id", "d_id", "scale",
                  "txn_index", "gen", "pending", "next_input", "parked",
-                 "parked_at", "done")
+                 "parked_at", "waiting_txn", "done")
 
     def __init__(self, index: int, app: BenchmarkApp, plan: list[dict],
                  w_id: int, d_id: int, scale: TpccScale):
@@ -353,6 +355,9 @@ class _Session:
         self.next_input = None       # rows to send into the generator
         self.parked = False
         self.parked_at = 0.0
+        #: txn id whose lock-manager wait the parked session sits out;
+        #: None parks it until any transaction ends.
+        self.waiting_txn = None
         self.done = not plan
 
     def start_transaction(self) -> None:
@@ -400,7 +405,7 @@ class ConcurrentMix:
         while any(not s.done for s in self.sessions):
             progressed = False
             for session in self.sessions:
-                if session.done or session.parked:
+                if session.done or not self._runnable(session):
                     continue
                 if self._step(session):
                     progressed = True
@@ -415,7 +420,8 @@ class ConcurrentMix:
                 raise RuntimeError(
                     "concurrent mix stalled: no session can progress")
             self.result.forced_wakes += 1
-            self._wake_parked()
+            for session in self.sessions:
+                session.parked = False
         self.result.makespan_seconds = self.meter.now - start
         return self.result
 
@@ -447,9 +453,11 @@ class ConcurrentMix:
             return True
         if sqlstate == "HYT00":
             # Lock wait: keep the transaction (and its locks), retry the
-            # same statement once another transaction ends.
+            # same statement once everything it waits for has ended.
             self.result.lock_waits += 1
-            self._park(session)
+            waiter, _blockers, _resource = \
+                self.server.engine.locks.last_conflict
+            self._park(session, waiter)
             return False
         if sqlstate == "40001":
             # Deadlock victim (row mode) or no-wait conflict (table
@@ -481,13 +489,24 @@ class ConcurrentMix:
 
     # -- parking / waking -----------------------------------------------------
 
-    def _park(self, session: _Session) -> None:
+    def _park(self, session: _Session, waiting_txn: int | None = None
+              ) -> None:
         session.parked = True
         session.parked_at = self.meter.now
+        session.waiting_txn = waiting_txn
 
     def _wake_parked(self) -> None:
+        """A transaction ended: wake the sessions parked until then."""
         for session in self.sessions:
+            if session.waiting_txn is None:
+                session.parked = False
+
+    def _runnable(self, session: _Session) -> bool:
+        """Not parked, or parked on a lock wait that is now over."""
+        if session.parked and session.waiting_txn is not None \
+                and self.server.engine.locks.wait_over(session.waiting_txn):
             session.parked = False
+        return not session.parked
 
     def _charge_wait(self, session: _Session) -> None:
         """Book the virtual time a woken session spent parked.

@@ -59,6 +59,19 @@ class TestCli:
         assert "Micro overheads" in out
         assert (tmp_path / "micro.txt").exists()
 
+    def test_tpccbench_gates_row_aborts_per_commit(self, tmp_path,
+                                                   capsys, monkeypatch):
+        from repro.bench import __main__ as bench
+
+        monkeypatch.setattr(bench, "TPCCBENCH_LEGS", ((8, 1),))
+        assert bench.main(["tpccbench", "--out", str(tmp_path)]) == 0
+        assert "aborts/commit" in capsys.readouterr().out
+        # A negative limit fails even a leg with no aborts.
+        monkeypatch.setattr(bench, "TPCCBENCH_MAX_ABORTS_PER_COMMIT", -1.0)
+        assert bench.main(["tpccbench", "--out", str(tmp_path)]) == 1
+        assert "FAIL: at 8 sessions the row leg aborted 0.00" \
+            in capsys.readouterr().out
+
     def test_unknown_experiment_rejected(self):
         from repro.bench.__main__ import main
 

@@ -1,11 +1,13 @@
 """Hierarchical row-level locking: modes, deadlocks, escalation, TPC-C.
 
-Covers the lock manager in isolation (compatibility matrix, conflict
-reporting, wait-for-graph cycle detection, escalation), the engine
-integration under ``lock_granularity="row"`` (two-phase row locking,
-deadlock-victim sessions, the ``sys_locks`` view), and the interleaved
-multi-session TPC-C mix (row locking must beat no-wait table locking in
-virtual-time makespan while committing the exact same final state).
+Covers the lock manager in isolation (compatibility matrix, the update
+mode U, conflict reporting, wait-for-graph cycle detection, escalation),
+the engine integration under ``lock_granularity="row"`` (two-phase row
+locking, update-intent reads, deadlock-victim sessions, the
+``sys_locks`` view), and the interleaved multi-session TPC-C mix (row
+locking must beat no-wait table locking in virtual-time makespan while
+committing the exact same final state; parked sessions wake only when
+their blockers end).
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.txn.locks import LockManager, LockMode
 IS = LockMode.INTENT_SHARED
 IX = LockMode.INTENT_EXCLUSIVE
 S = LockMode.SHARED
+U = LockMode.UPDATE
 X = LockMode.EXCLUSIVE
 
 
@@ -69,6 +72,59 @@ class TestModeAlgebra:
         locks.acquire_row(2, "t", (2,), X)
         assert locks.row_holders("t", (1,)) == {1: X}
         assert locks.row_holders("t", (2,)) == {2: X}
+
+
+class TestUpdateMode:
+    """U: a read that intends to write.  Shares rows with readers, but
+    only one transaction at a time may hold it."""
+
+    @staticmethod
+    def holding(held: LockMode) -> LockManager:
+        locks = row_lock_manager()
+        locks.acquire(1, "t", IS)
+        locks.acquire(2, "t", IX)
+        locks.acquire_row(1, "t", ("r",), held)
+        return locks
+
+    @pytest.mark.parametrize("held, requested, granted", [
+        (S, U, True), (U, S, True),
+        (U, U, False), (U, X, False), (X, U, False)])
+    def test_compatibility_both_directions(self, held, requested,
+                                           granted):
+        locks = self.holding(held)
+        if granted:
+            locks.acquire_row(2, "t", ("r",), requested)
+            assert locks.row_holders("t", ("r",)) == {1: held,
+                                                      2: requested}
+        else:
+            with pytest.raises(LockWaitError):
+                locks.acquire_row(2, "t", ("r",), requested)
+            assert locks.waiting_for(2) == frozenset({1})
+
+    def test_same_txn_shared_to_update_to_exclusive(self):
+        locks = row_lock_manager()
+        locks.acquire(1, "t", IX)
+        locks.acquire_row(1, "t", ("r",), S)
+        locks.acquire_row(1, "t", ("r",), U)
+        assert locks.row_holders("t", ("r",)) == {1: U}
+        locks.acquire_row(1, "t", ("r",), S)  # covered: stays U
+        assert locks.row_holders("t", ("r",)) == {1: U}
+        locks.acquire_row(1, "t", ("r",), X)
+        assert locks.row_holders("t", ("r",)) == {1: X}
+        locks.acquire_row(1, "t", ("r",), U)  # covered: stays X
+        assert locks.row_holders("t", ("r",)) == {1: X}
+        assert locks.row_lock_count(1, "t") == 1
+
+    def test_update_rows_escalate_to_table_exclusive(self):
+        """A U row counts as an X row: escalating to table S would bring
+        back the S->X conversion U exists to avoid."""
+        locks = row_lock_manager(threshold=2)
+        locks.acquire(1, "t", IS)
+        locks.acquire_row(1, "t", (0,), S)
+        for key in (1, 2):
+            locks.acquire_row(1, "t", (key,), U)
+        assert locks.held(1, "t") is X
+        assert locks.row_lock_count(1, "t") == 0
 
 
 class TestConflictReporting:
@@ -158,6 +214,26 @@ class TestDeadlockDetection:
         with pytest.raises(LockWaitError):
             locks.acquire_row(4, "t", ("hot",), X)
         assert meter.counters.get("locks.deadlocks_detected", 0) == 0
+
+    def test_wait_is_over_once_every_blocker_ends(self):
+        locks = row_lock_manager()
+        for txn in (1, 2):
+            locks.acquire(txn, "t", IS)
+            locks.acquire_row(txn, "t", ("hot",), S)
+        locks.acquire(3, "t", IX)
+        with pytest.raises(LockWaitError):
+            locks.acquire_row(3, "t", ("hot",), X)
+        assert not locks.wait_over(3)
+        locks.release_all(1)
+        assert not locks.wait_over(3)  # txn 2 still holds its S
+        locks.release_all(2)
+        assert locks.wait_over(3)
+        locks.acquire(4, "t", IX)
+        locks.acquire_row(4, "t", ("hot",), X)
+        with pytest.raises(LockWaitError):
+            locks.acquire_row(3, "t", ("hot",), X)
+        locks.release_all(3)  # the waiter itself ends (victim abort)
+        assert locks.wait_over(3)
 
     def test_finished_blockers_are_dead_ends_not_cycles(self):
         locks = row_lock_manager()
@@ -319,6 +395,64 @@ class TestRowModeEngine:
         run(engine, alice, "COMMIT")
         run(engine, bob, "ROLLBACK")
 
+    def test_writer_reads_with_update_intent(self):
+        engine, alice, bob = row_world()
+        run(engine, alice, "BEGIN TRANSACTION")
+        assert run(engine, alice, "SELECT bal FROM acct WHERE id = 2") \
+            == [(200,)]
+        txn = alice.current_txn
+        assert engine.locks.row_holders("acct", (2,)) == {txn.txn_id: S}
+        run(engine, alice, "UPDATE acct SET bal = 0 WHERE id = 1")
+        run(engine, alice, "SELECT bal FROM acct WHERE id = 3")
+        assert engine.locks.row_holders("acct", (3,)) == {txn.txn_id: U}
+        rows = run(engine, bob, "SELECT table_name, granularity, "
+                                "lock_key, mode, txn_id FROM sys_locks")
+        assert ("acct", "row", "(3,)", "U", txn.txn_id) in rows
+        run(engine, alice, "ROLLBACK")
+
+    def test_read_only_reader_shares_an_update_locked_row(self):
+        engine, alice, bob = row_world()
+        run(engine, alice, "BEGIN TRANSACTION")
+        run(engine, alice, "UPDATE acct SET bal = 0 WHERE id = 1")
+        run(engine, alice, "SELECT bal FROM acct WHERE id = 2")
+        run(engine, bob, "BEGIN TRANSACTION")
+        assert run(engine, bob, "SELECT bal FROM acct WHERE id = 2") == \
+            [(200,)]
+        assert engine.locks.row_holders("acct", (2,)) == {
+            alice.current_txn.txn_id: U, bob.current_txn.txn_id: S}
+        run(engine, bob, "COMMIT")
+        # The U holder still converts to X once the reader is gone.
+        assert run(engine, alice,
+                   "UPDATE acct SET bal = 7 WHERE id = 2") == 1
+        run(engine, alice, "COMMIT")
+
+    def test_read_then_update_of_a_shared_row_queues_not_deadlocks(self):
+        """Two writers read a shared row, then update it.  With S reads
+        both would hold S and deadlock converting to X (the younger got
+        40001); with U reads the second reader waits (HYT00) and both
+        commit."""
+        engine, alice, bob = row_world()
+        run(engine, alice, "BEGIN TRANSACTION")
+        run(engine, bob, "BEGIN TRANSACTION")
+        run(engine, alice, "UPDATE acct SET bal = bal + 1 WHERE id = 1")
+        run(engine, bob, "UPDATE acct SET bal = bal + 2 WHERE id = 2")
+        assert run(engine, alice,
+                   "SELECT bal FROM acct WHERE id = 3") == [(300,)]
+        with pytest.raises(LockWaitError):
+            run(engine, bob, "SELECT bal FROM acct WHERE id = 3")
+        assert run(engine, alice,
+                   "UPDATE acct SET bal = 301 WHERE id = 3") == 1
+        run(engine, alice, "COMMIT")
+        assert run(engine, bob,
+                   "SELECT bal FROM acct WHERE id = 3") == [(301,)]
+        assert run(engine, bob,
+                   "UPDATE acct SET bal = 302 WHERE id = 3") == 1
+        run(engine, bob, "COMMIT")
+        assert run(engine, alice, "SELECT bal FROM acct ORDER BY id") == \
+            [(101,), (202,), (302,)]
+        assert engine.meter.counters.get("locks.deadlocks_detected",
+                                         0) == 0
+
     def test_sys_locks_view_lists_table_and_row_locks(self):
         engine, alice, bob = row_world()
         run(engine, alice, "BEGIN TRANSACTION")
@@ -430,3 +564,101 @@ class TestConcurrentTpcc:
         reference = mixes["row"][0]
         assert result.makespan_seconds == reference.makespan_seconds
         assert digest_database(server.engine) == mixes["row"][1]
+
+
+def scripted_mix(monkeypatch, scripts, granularity="row"):
+    """A ConcurrentMix over the TPC-C world whose sessions each run one
+    scripted transaction: ``scripts[i]`` is session i's statement list
+    (all ``("stmt", sql)``)."""
+    from repro.workloads.tpcc import concurrent
+
+    def body(desc, w, d, scale):
+        for statement in desc["statements"]:
+            yield statement
+        return "committed"
+
+    monkeypatch.setitem(concurrent._BODIES, "script", body)
+    server, apps, _plans, scale = concurrent.build_concurrent_world(
+        len(scripts), granularity, txns_per_session=1, items=20,
+        customers_per_district=4, initial_orders_per_district=2)
+    plans = [[{"kind": "script",
+               "statements": [("stmt", sql) for sql in script]}]
+             for script in scripts]
+    mix = concurrent.ConcurrentMix(server, apps, plans, scale)
+    attempts = []
+    execute = mix._execute
+
+    def counting_execute(app, kind, sql):
+        attempts.append((apps.index(app), sql))
+        return execute(app, kind, sql)
+
+    monkeypatch.setattr(mix, "_execute", counting_execute)
+    return mix, attempts
+
+
+class TestWakeOnRelease:
+    BUMP_W1 = "UPDATE warehouse SET w_ytd = w_ytd + {} WHERE w_id = 1"
+    READ_ITEM = "SELECT i_price FROM item WHERE i_id = 1"
+
+    def test_waiter_sleeps_through_unrelated_commits(self, monkeypatch):
+        """B waits on A's warehouse row; C commits twice meanwhile.  B
+        retries its update only once A has ended."""
+        a = ["BEGIN TRANSACTION", self.BUMP_W1.format(1)] \
+            + [self.READ_ITEM] * 4 + ["COMMIT"]
+        b = ["BEGIN TRANSACTION", self.BUMP_W1.format(2), "COMMIT"]
+        c = ["BEGIN TRANSACTION",
+             "UPDATE district SET d_ytd = d_ytd + 1 "
+             "WHERE d_w_id = 1 AND d_id = 3", "COMMIT"]
+        mix, attempts = scripted_mix(monkeypatch, [a, b, c])
+        result = mix.run_interleaved()
+        assert result.committed == 3
+        assert result.lock_waits == 1
+        assert result.forced_wakes == 0 and result.deadlocks == 0
+        b_update = [i for i, (session, sql) in enumerate(attempts)
+                    if session == 1 and sql == self.BUMP_W1.format(2)]
+        assert len(b_update) == 2  # the wait, then one retry
+        a_commit = attempts.index((0, "COMMIT"))
+        c_commit = attempts.index((2, "COMMIT"))
+        assert b_update[0] < c_commit < a_commit < b_update[1]
+
+    def test_forced_wake_recovers_a_missed_wakeup(self, monkeypatch):
+        """Sessions parked with no transaction left to end them are woken
+        by the stall breaker, once, and then finish."""
+        mix, _attempts = scripted_mix(
+            monkeypatch, [["BEGIN TRANSACTION", self.READ_ITEM, "COMMIT"],
+                          ["BEGIN TRANSACTION", "COMMIT"]])
+        for session in mix.sessions:
+            mix._park(session)
+        result = mix.run_interleaved()
+        assert result.forced_wakes == 1
+        assert result.committed == 2
+
+    def test_wait_on_a_blocker_that_never_ends_stalls(self, monkeypatch):
+        """A blocker outside the mix never ends: forced wakes retry the
+        waiter a bounded number of times, then the mix reports a stall."""
+        mix, attempts = scripted_mix(
+            monkeypatch, [["BEGIN TRANSACTION", self.BUMP_W1.format(1),
+                           "COMMIT"]])
+        outsider = EngineSession(session_id=99)
+        engine = mix.server.engine
+        run(engine, outsider, "BEGIN TRANSACTION")
+        run(engine, outsider, self.BUMP_W1.format(5))
+        with pytest.raises(RuntimeError, match="stalled"):
+            mix.run_interleaved()
+        assert mix.result.forced_wakes == 3
+        assert attempts.count((0, self.BUMP_W1.format(1))) == 4
+        run(engine, outsider, "ROLLBACK")
+
+    def test_tpccbench_widths_need_no_forced_wakes(self):
+        from repro.bench.__main__ import TPCCBENCH_LEGS, TPCCBENCH_SCALE
+        from repro.workloads.tpcc.concurrent import (
+            ConcurrentMix, build_concurrent_world)
+
+        for sessions, txns in TPCCBENCH_LEGS:
+            server, apps, plans, scale = build_concurrent_world(
+                sessions, "row", txns_per_session=txns, **TPCCBENCH_SCALE)
+            result = ConcurrentMix(server, apps, plans,
+                                   scale).run_interleaved()
+            assert result.forced_wakes == 0, sessions
+            assert result.deadlocks == 0, sessions
+            assert result.committed + result.rolled_back == sessions * txns
