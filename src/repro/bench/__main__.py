@@ -313,18 +313,37 @@ def _optbench_rows_close(got: list, want: list) -> bool:
                for x, y in zip(got, want))
 
 
+def _last_query_seconds(history: pathlib.Path) -> dict[str, dict]:
+    """Leg -> ``query_seconds`` of that leg's last history entry that
+    carries them (entries written before they were recorded do not)."""
+    import json
+
+    last: dict[str, dict] = {}
+    lines = history.read_text().splitlines() if history.exists() else []
+    for line in lines:
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(entry, dict) and "query_seconds" in entry:
+            last[entry.get("leg")] = entry["query_seconds"]
+    return last
+
+
 def _run_optbench(args) -> int:
     """Heuristic vs cost-based plans over the table-1 power queries plus
     the Top-N query.
 
     Writes ``optbench.txt`` and appends one ``{date, commit, leg,
-    virtual_seconds, optimizer.*}`` line per leg to
-    ``optbench_history.jsonl`` (the sentinel holds the heuristic leg's
-    clock bit-stable and its optimizer counters at zero).  Fails (exit
-    1) if the cost leg is not faster on at least 3 table-1 queries (by
-    more than ``OPTBENCH_NOISE`` of the heuristic time), if its Top-N
-    plan does not use TopNHeapSort (or the heuristic plan does), if the
-    heuristic leg planned through the cost path at all, or if any
+    virtual_seconds, query_seconds, optimizer.*}`` line per leg to
+    ``optbench_history.jsonl`` (the sentinel holds each leg's clock and
+    every query's clock bit-stable, and the heuristic leg's optimizer
+    counters at zero).  Fails (exit 1) if the cost leg is not faster on
+    at least 3 table-1 queries (by more than ``OPTBENCH_NOISE`` of the
+    heuristic time), if any query of either leg is slower than in that
+    leg's last history entry (by more than ``OPTBENCH_NOISE``), if its
+    Top-N plan does not use TopNHeapSort (or the heuristic plan does), if
+    the heuristic leg planned through the cost path at all, or if any
     cost-leg result differs from the heuristic leg's beyond
     float-summation-order tolerance.
     """
@@ -348,11 +367,17 @@ def _run_optbench(args) -> int:
     except Exception:
         commit = "unknown"
     history = out_dir / "optbench_history.jsonl"
+    last_seconds = _last_query_seconds(history)
+    regressions = {
+        leg.mode: experiments.optbench_query_regressions(
+            last_seconds.get(leg.mode, {}), leg.seconds_by_query())
+        for leg in (result.heuristic, result.cost)}
     with history.open("a") as handle:
         for leg in (result.heuristic, result.cost):
             entry = {"date": datetime.date.today().isoformat(),
                      "commit": commit, "leg": leg.mode,
-                     "virtual_seconds": leg.total_seconds}
+                     "virtual_seconds": leg.total_seconds,
+                     "query_seconds": leg.seconds_by_query()}
             for name in ("optimizer.plans_costed",
                          "optimizer.join_orders_considered",
                          "optimizer.topn_heap_used",
@@ -372,6 +397,11 @@ def _run_optbench(args) -> int:
         print(f"FAIL: cost-based plans beat the heuristic on only "
               f"{len(faster)} table-1 queries — need at least 3")
         failed = True
+    for mode, names in regressions.items():
+        if names:
+            print(f"FAIL: {mode} leg slower than its last history entry "
+                  f"on {' '.join(names)}")
+            failed = True
     if not any("TopNHeapSort" in line for line in result.cost.topn_plan):
         print("FAIL: cost leg's Top-N plan does not use TopNHeapSort: "
               + " | ".join(result.cost.topn_plan))

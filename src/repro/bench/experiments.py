@@ -1124,12 +1124,29 @@ class OptbenchLeg:
     def total_seconds(self) -> float:
         return sum(self.query_seconds.values()) + self.topn_seconds
 
+    def seconds_by_query(self) -> dict[str, float]:
+        """Virtual seconds per query, labelled as ``optbench.txt`` rows."""
+        seconds = {f"Q{number:02d}": value for number, value
+                   in sorted(self.query_seconds.items())}
+        seconds["TOP-N"] = self.topn_seconds
+        return seconds
+
 
 #: A cost-leg query is faster (or slower) only when its time differs
 #: from the heuristic leg's by more than this share: smaller differences
 #: are float summation noise from a different charge order, not a
 #: better or worse plan.
 OPTBENCH_NOISE = 1e-9
+
+
+def optbench_query_regressions(previous: dict[str, float],
+                               current: dict[str, float]) -> list[str]:
+    """Queries of ``current`` slower than in ``previous`` (both
+    :meth:`OptbenchLeg.seconds_by_query` maps) by more than
+    ``OPTBENCH_NOISE``; a query only one of them carries is skipped."""
+    return [name for name, seconds in current.items()
+            if name in previous
+            and seconds - previous[name] > OPTBENCH_NOISE * previous[name]]
 
 
 @dataclass

@@ -22,6 +22,11 @@ tracked metric grew beyond its per-metric tolerance:
   prints a WARNING but never fails the build (matching the wallclock
   runner's own policy for host-time noise).
 
+A dict-valued field named in :data:`KEYED_METRICS` (optbench's
+``query_seconds``) is judged key by key, each key like the scalar
+metric it names, so a single query that slows down fails the build even
+when the leg's total does not move.
+
 Metrics absent from older lines are skipped (history formats grow),
 decreases never fail, and a group needs at least one prior entry to be
 judged.  ``python -m repro.bench sentinel`` is the CLI; CI runs it
@@ -34,8 +39,8 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
-__all__ = ["ADVISORY_METRICS", "METRIC_TOLERANCES", "SentinelReport",
-           "run_sentinel", "check_history_file"]
+__all__ = ["ADVISORY_METRICS", "KEYED_METRICS", "METRIC_TOLERANCES",
+           "SentinelReport", "run_sentinel", "check_history_file"]
 
 #: metric name -> allowed relative increase of latest over the trailing
 #: window median.  0.0 means "must not grow at all".
@@ -67,6 +72,12 @@ METRIC_TOLERANCES: dict[str, float] = {
     "host_seconds": 0.5,
 }
 
+#: Dict-valued fields -> the metric whose tolerance each of their keys
+#: gets.  A key is compared only against entries that carry it.
+KEYED_METRICS: dict[str, str] = {
+    "query_seconds": "virtual_seconds",
+}
+
 #: Metrics whose regressions warn instead of failing: anything measured
 #: in host wall time depends on the machine running the bench.
 ADVISORY_METRICS = frozenset({"host_seconds"})
@@ -92,12 +103,13 @@ class Finding:
     latest: float
     median: float
     limit: float
+    tolerance: float
 
     def format(self) -> str:
         return (f"{self.file} [{self.group}] {self.metric}: latest "
                 f"{self.latest:g} exceeds {self.limit:g} (median "
                 f"{self.median:g} over the trailing window, tolerance "
-                f"{METRIC_TOLERANCES[self.metric]:g})")
+                f"{self.tolerance:g})")
 
 
 @dataclass
@@ -137,7 +149,8 @@ def _median(values: list[float]) -> float:
 def _group_key(entry: dict) -> str:
     parts = [f"{key}={entry[key]}" for key in sorted(entry)
              if key not in _PROVENANCE_FIELDS
-             and key not in METRIC_TOLERANCES]
+             and key not in METRIC_TOLERANCES
+             and key not in KEYED_METRICS]
     return " ".join(parts) or "(default)"
 
 
@@ -172,29 +185,46 @@ def check_history_file(path, window: int = DEFAULT_WINDOW,
             continue
         latest = history[-1]
         trailing = history[max(0, len(history) - 1 - window):-1]
-        for metric, tolerance in METRIC_TOLERANCES.items():
-            latest_value = latest.get(metric)
-            if not isinstance(latest_value, (int, float)):
+        for metric in METRIC_TOLERANCES:
+            _judge(report, path.name, group, metric, metric,
+                   latest.get(metric),
+                   [entry.get(metric) for entry in trailing])
+        for field_name, like in KEYED_METRICS.items():
+            latest_values = latest.get(field_name)
+            if not isinstance(latest_values, dict):
                 continue
-            window_values = [entry[metric] for entry in trailing
-                             if isinstance(entry.get(metric),
-                                           (int, float))]
-            if not window_values:
-                continue
-            median = _median([float(value) for value in window_values])
-            limit = median * (1.0 + tolerance)
-            report.checked.append((path.name, group, metric,
-                                   float(latest_value), median))
-            if float(latest_value) > limit + _ABS_EPS:
-                finding = Finding(
-                    file=path.name, group=group, metric=metric,
-                    latest=float(latest_value), median=median,
-                    limit=limit)
-                if metric in ADVISORY_METRICS:
-                    report.advisories.append(finding)
-                else:
-                    report.findings.append(finding)
+            trailing_values = [entry.get(field_name) for entry in trailing
+                               if isinstance(entry.get(field_name), dict)]
+            for key in sorted(latest_values):
+                _judge(report, path.name, group, f"{field_name}.{key}",
+                       like, latest_values[key],
+                       [values.get(key) for values in trailing_values])
     return report
+
+
+def _judge(report: SentinelReport, file: str, group: str, metric: str,
+           like: str, latest_value, window_values: list) -> None:
+    """Compare one metric's latest value against the median of the
+    window's numeric values, with the tolerance of metric ``like``."""
+    if not isinstance(latest_value, (int, float)):
+        return
+    window_values = [float(value) for value in window_values
+                     if isinstance(value, (int, float))]
+    if not window_values:
+        return
+    median = _median(window_values)
+    tolerance = METRIC_TOLERANCES[like]
+    limit = median * (1.0 + tolerance)
+    report.checked.append((file, group, metric, float(latest_value),
+                           median))
+    if float(latest_value) > limit + _ABS_EPS:
+        finding = Finding(file=file, group=group, metric=metric,
+                          latest=float(latest_value), median=median,
+                          limit=limit, tolerance=tolerance)
+        if like in ADVISORY_METRICS:
+            report.advisories.append(finding)
+        else:
+            report.findings.append(finding)
 
 
 def run_sentinel(results_dir="bench_results",

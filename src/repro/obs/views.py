@@ -25,7 +25,7 @@ views:
 * ``sys_result_cache`` — shared-result-cache traffic: hits, misses,
   insertions, evictions and invalidations, with per-table breakdowns;
 * ``sys_buffer_pool`` — buffer-pool occupancy and traffic, including
-  the misses a large-file scan admitted cold.
+  the misses a large-file scan admitted cold and its read-ahead.
 
 View functions only read engine/meter state; they import nothing from
 the engine so the registry itself stays dependency-free.
@@ -296,16 +296,19 @@ def _sys_buffer_pool(engine):
 
     ``cold_admissions`` counts the misses of scans over files larger
     than the pool, which are admitted at the LRU end (see
-    :class:`repro.storage.buffer_pool.BufferPool`).  All values are read
-    straight off the pool, before this view's own snapshot table is
-    materialized.
+    :class:`repro.storage.buffer_pool.BufferPool`).  Those scans read
+    ahead: ``read_ahead_issued`` counts the reads they queued, and
+    ``read_ahead_wasted`` the ones a scan stopped before consuming.  All
+    values are read straight off the pool, before this view's own
+    snapshot table is materialized.
     """
     columns = [Column("metric", SqlType.VARCHAR, 24),
                Column("value", SqlType.BIGINT)]
     pool = engine.buffer_pool
     rows = [(name, int(getattr(pool, name)))
             for name in ("capacity_pages", "resident_pages", "dirty_pages",
-                         "hits", "misses", "cold_admissions")]
+                         "hits", "misses", "cold_admissions",
+                         "read_ahead_issued", "read_ahead_wasted")]
     return columns, rows
 
 

@@ -21,6 +21,20 @@ the part of the scanned file still resident from earlier scans)
 resident.  :meth:`HeapFile.scan_pages` decides per scan; point reads and
 scans of files that fit are plain LRU.
 
+A cold scan also reads ahead (:meth:`read_ahead`): before it takes a
+page it keeps the next ``READ_AHEAD_PAGES`` pages of its file queued on
+the disk, as SQL Server's read-ahead manager reads one 64 KB extent ahead
+of a sequential scan.  The pool keeps a disk timeline, ``_disk_free``:
+the virtual time at which the disk finishes its queued reads.  A read
+issued at ``t`` completes at ``max(_disk_free, t) + read cost``; its page
+image waits in the in-flight buffer (the read-ahead segment, not pool
+frames) until :meth:`get_page` consumes it, paying only the stall
+``max(0, ready - now)``.  A demand read or a write-back queues behind the
+queued reads.  With nothing queued every charge is the plain
+synchronous one, and reads are only issued while the meter advances the
+serial clock: on a frozen clock (trace replay, loads, overlap windows) a
+queue would only grow, so those paths read synchronously.
+
 Pages of *volatile* files (temp tables, never-logged Phoenix scratch space)
 are registered via :meth:`register_volatile`; they are never flushed and
 never evicted, and simply vanish on crash.
@@ -34,6 +48,10 @@ from repro.sim.costs import SERVER_DISK
 from repro.sim.meter import Meter
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
+
+#: Pages a cold scan keeps queued ahead of the page it takes: one 64 KB
+#: extent of 8 KB pages.
+READ_AHEAD_PAGES = 8
 
 
 class BufferPool:
@@ -63,6 +81,15 @@ class BufferPool:
         self.misses = 0
         #: Misses admitted at the LRU end by a cold (large-file) scan.
         self.cold_admissions = 0
+        #: Read-ahead segment: (file_id, page_no) -> (page image, virtual
+        #: time its read completes).  Never resident, never dirty.
+        self._in_flight: dict[tuple[int, int], tuple[Page, float]] = {}
+        #: Virtual time at which the disk finishes its queued reads.
+        self._disk_free = 0.0
+        #: Reads issued ahead of a cold scan.
+        self.read_ahead_issued = 0
+        #: Of those, reads the issuing scan stopped before consuming.
+        self.read_ahead_wasted = 0
 
     def attach_wal(self, wal) -> None:
         """Late-bind the WAL (server wires storage and log together)."""
@@ -107,12 +134,20 @@ class BufferPool:
                 self._frames.move_to_end(key)
             return page
         self.misses += 1
-        image = self._disk.read_page(file_id, page_no)
-        if image is None:
-            return None
-        assert isinstance(image, Page)
-        page = image.clone()
-        self._charge_io(self._read_cost(cost_factor))
+        in_flight = self._in_flight.pop(key, None)
+        if in_flight is not None:
+            page, ready = in_flight
+            stall = ready - self._meter.peek_now()
+            if stall > 0:
+                self._meter.charge_batched(SERVER_DISK, stall, "page io")
+            self._meter.count("disk_io")
+        else:
+            image = self._disk.read_page(file_id, page_no)
+            if image is None:
+                return None
+            assert isinstance(image, Page)
+            page = image.clone()
+            self._charge_io(self._disk_wait() + self._read_cost(cost_factor))
         self._admit(key, page)
         if cold:
             self._frames.move_to_end(key, last=False)
@@ -165,10 +200,11 @@ class BufferPool:
         if key not in self._dirty:
             return
         page = self._frames[key]
+        assert key not in self._in_flight, f"older image of {key} in flight"
         if self._wal is not None:
             self._wal.force(up_to_lsn=page.page_lsn, sync=False)
         self._disk.write_page(file_id, page_no, page.clone())
-        self._charge_io(self._write_cost(cost_factor))
+        self._charge_io(self._disk_wait() + self._write_cost(cost_factor))
         self._dirty.pop(key, None)
 
     def flush_all(self, cost_factor: float = 1.0) -> int:
@@ -203,13 +239,56 @@ class BufferPool:
             return None
         return min(self._dirty.values())
 
+    # -- read-ahead ----------------------------------------------------------
+
+    def read_ahead(self, file_id: int, first: int, last: int,
+                   cost_factor: float = 1.0) -> None:
+        """Queue disk reads of pages ``first..last`` of ``file_id``.
+
+        Pages already resident, already in flight, or not on disk are
+        skipped.  Nothing is issued unless the meter advances the serial
+        clock (see the module docstring).
+        """
+        meter = self._meter
+        if meter is None or not meter.advance_clock \
+                or file_id in self._volatile_files:
+            return
+        in_flight = self._in_flight
+        frames = self._frames
+        disk = self._disk
+        cost = self._read_cost(cost_factor)
+        now = None
+        for page_no in range(first, last + 1):
+            key = (file_id, page_no)
+            if key in frames or key in in_flight \
+                    or not disk.has_page(file_id, page_no):
+                continue
+            if now is None:
+                now = meter.peek_now()
+            self._disk_free = max(self._disk_free, now) + cost
+            in_flight[key] = (disk.read_page(file_id, page_no).clone(),
+                              self._disk_free)
+            self.read_ahead_issued += 1
+
+    def read_ahead_stopped(self, file_id: int, first: int,
+                           last: int) -> None:
+        """A scan stopped before page ``first``: count its pages still in
+        flight up to ``last`` as wasted.  They stay in flight, so a later
+        access uses them instead of reading them again."""
+        in_flight = self._in_flight
+        self.read_ahead_wasted += sum(
+            1 for page_no in range(first, last + 1)
+            if (file_id, page_no) in in_flight)
+
     # -- lifecycle -----------------------------------------------------------
 
     def drop_file(self, file_id: int) -> None:
-        """Forget all cached pages of a dropped file."""
+        """Forget all cached and in-flight pages of a dropped file."""
         for key in [k for k in self._frames if k[0] == file_id]:
             del self._frames[key]
             self._dirty.pop(key, None)
+        for key in [k for k in self._in_flight if k[0] == file_id]:
+            del self._in_flight[key]
         for key in [k for k in self._volatile_frames if k[0] == file_id]:
             del self._volatile_frames[key]
         self._volatile_files.discard(file_id)
@@ -220,6 +299,8 @@ class BufferPool:
         self._volatile_frames.clear()
         self._dirty.clear()
         self._volatile_files.clear()
+        self._in_flight.clear()
+        self._disk_free = 0.0
 
     @property
     def resident_pages(self) -> int:
@@ -258,6 +339,13 @@ class BufferPool:
         if self._meter is not None:
             self._meter.charge_batched(SERVER_DISK, seconds, "page io")
             self._meter.count("disk_io")
+
+    def _disk_wait(self) -> float:
+        """Virtual seconds until the disk finishes its queued reads (0.0
+        when nothing is queued, so the charge is the synchronous one)."""
+        if self._meter is None:
+            return 0.0
+        return max(0.0, self._disk_free - self._meter.peek_now())
 
     def _read_cost(self, cost_factor: float) -> float:
         costs = self._meter.costs if self._meter else None

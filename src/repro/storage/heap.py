@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.storage.buffer_pool import BufferPool
+from repro.storage.buffer_pool import READ_AHEAD_PAGES, BufferPool
 from repro.storage.page import Page
 
 
@@ -125,17 +125,34 @@ class HeapFile:
         A file larger than the pool is read cold (see
         :class:`BufferPool`): the scan recycles one frame rather than
         flushing every other table's pages, and its own resident pages
-        survive to be hit by the next scan.
+        survive to be hit by the next scan.  A cold scan also reads
+        ahead: before it takes page p it asks the pool to queue reads of
+        pages p .. p + ``READ_AHEAD_PAGES``, so the disk works while the
+        consumer spends CPU on earlier pages.  A file that fits is almost
+        always resident and is read without read-ahead.
         """
         file_id = self.file_id
-        cold = self.page_count > self._pool.capacity_pages
-        for page_no in range(self.page_count):
-            page = self._pool.get_page(file_id, page_no, self.cost_factor,
-                                       cold)
-            if page is None:
-                continue
-            yield [(RowId(file_id, page_no, slot), row)
-                   for slot, row in page.rows()]
+        pool = self._pool
+        last = self.page_count - 1
+        cold = last >= pool.capacity_pages
+        next_page = 0
+        try:
+            for page_no in range(last + 1):
+                if cold:
+                    pool.read_ahead(file_id, page_no,
+                                    min(page_no + READ_AHEAD_PAGES, last),
+                                    self.cost_factor)
+                page = pool.get_page(file_id, page_no, self.cost_factor,
+                                     cold)
+                next_page = page_no + 1
+                if page is not None:
+                    yield [(RowId(file_id, page_no, slot), row)
+                           for slot, row in page.rows()]
+        finally:
+            if cold and next_page <= last:
+                pool.read_ahead_stopped(
+                    file_id, next_page,
+                    min(next_page - 1 + READ_AHEAD_PAGES, last))
 
     def count_rows(self) -> int:
         return sum(1 for _ in self.scan())

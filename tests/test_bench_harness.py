@@ -72,6 +72,37 @@ class TestCli:
         assert "FAIL: at 8 sessions the row leg aborted 0.00" \
             in capsys.readouterr().out
 
+    def test_optbench_gates_per_query_regressions(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from repro.bench import __main__ as bench
+        from repro.bench.experiments import OptbenchLeg, OptbenchResult
+
+        def result(cost_q02):
+            heuristic = OptbenchLeg(mode="heuristic", topn_seconds=2.0,
+                                    topn_plan=["Sort", "Limit"])
+            cost = OptbenchLeg(mode="cost", topn_seconds=1.0,
+                               topn_plan=["TopNHeapSort(n=10)"])
+            for number, (h, c) in enumerate(
+                    [(5.0, 4.0), (5.0, cost_q02), (5.0, 4.0), (5.0, 4.0)],
+                    start=1):
+                heuristic.query_seconds[number] = h
+                cost.query_seconds[number] = c
+                heuristic.query_rows[number] = cost.query_rows[number] = []
+            return OptbenchResult(scale=0.005, heuristic=heuristic,
+                                  cost=cost)
+
+        run = ["optbench", "--out", str(tmp_path)]
+        monkeypatch.setattr(bench.experiments, "run_optbench",
+                            lambda scale: result(4.0))
+        assert bench.main(run) == 0
+        assert bench.main(run) == 0  # same seconds as the last entry
+        monkeypatch.setattr(bench.experiments, "run_optbench",
+                            lambda scale: result(4.5))
+        capsys.readouterr()
+        assert bench.main(run) == 1
+        assert "FAIL: cost leg slower than its last history entry on Q02" \
+            in capsys.readouterr().out
+
     def test_unknown_experiment_rejected(self):
         from repro.bench.__main__ import main
 
@@ -148,6 +179,38 @@ class TestOptbenchCounting:
         ])
         assert result.faster_queries() == [2]
         assert result.slower_queries() == [4]
+
+    def test_seconds_by_query_uses_table_labels(self):
+        result = self._result([(20.0, 19.0), (100.0, 106.3)])
+        assert result.cost.seconds_by_query() == {
+            "Q01": 19.0, "Q02": 106.3, "TOP-N": 1.0}
+
+    def test_query_regressions_beat_noise_against_last_entry(self):
+        from repro.bench.experiments import optbench_query_regressions
+
+        previous = {"Q01": 84.379, "Q02": 146.134, "Q03": 3.0}
+        current = {"Q01": 84.379 + 1e-12,     # noise: no regression
+                   "Q02": 146.134 * 1.01,     # real regression
+                   "Q03": 2.5,                # faster: fine
+                   "Q04": 99.0}               # new query: skipped
+        assert optbench_query_regressions(previous, current) == ["Q02"]
+        assert optbench_query_regressions({}, current) == []
+
+    def test_last_query_seconds_per_leg(self, tmp_path):
+        import json
+
+        from repro.bench.__main__ import _last_query_seconds
+
+        history = tmp_path / "optbench_history.jsonl"
+        history.write_text("\n".join([
+            json.dumps({"leg": "cost", "query_seconds": {"Q01": 1.0}}),
+            json.dumps({"leg": "cost", "query_seconds": {"Q01": 2.0}}),
+            json.dumps({"leg": "heuristic", "virtual_seconds": 5.0}),
+            "not json",
+            json.dumps({"leg": "cost", "virtual_seconds": 3.0}),
+        ]) + "\n")
+        assert _last_query_seconds(history) == {"cost": {"Q01": 2.0}}
+        assert _last_query_seconds(tmp_path / "missing.jsonl") == {}
 
     def test_format_prints_wins_and_losses(self):
         text = self._result([(20.0, 19.0), (100.0, 106.3),

@@ -149,6 +149,41 @@ def test_malformed_lines_skipped_not_fatal(tmp_path):
     assert any("not valid JSON" in reason for reason in report.skipped)
 
 
+def optbench_entry(**query_seconds):
+    return {"date": "2026-10-01", "commit": "abc1234", "leg": "cost",
+            "virtual_seconds": 300.0,
+            "query_seconds": {"Q01": 100.0, "Q02": 200.0,
+                              **query_seconds}}
+
+
+def test_per_query_seconds_judged_key_by_key(tmp_path):
+    """One query slowing down fails even when the leg's total holds."""
+    history = tmp_path / "optbench_history.jsonl"
+    write_history(history, [optbench_entry(), optbench_entry(),
+                            optbench_entry(Q01=100.5, Q02=199.5)])
+    report = check_history_file(history)
+    assert [f.metric for f in report.findings] == ["query_seconds.Q01"]
+    assert report.findings[0].tolerance == METRIC_TOLERANCES[
+        "virtual_seconds"]
+    assert "leg=cost" in report.findings[0].group
+    assert "query_seconds" not in report.findings[0].group
+
+
+def test_per_query_seconds_only_where_both_entries_carry_them(tmp_path):
+    history = tmp_path / "optbench_history.jsonl"
+    old = optbench_entry()
+    del old["query_seconds"]
+    write_history(history, [old, optbench_entry(Q03=50.0)])
+    report = check_history_file(history)
+    assert report.ok
+    assert {c[2] for c in report.checked} == {"virtual_seconds"}
+    write_history(history, [optbench_entry(), optbench_entry(Q03=50.0)])
+    report = check_history_file(history)
+    assert report.ok
+    assert {c[2] for c in report.checked} == {
+        "virtual_seconds", "query_seconds.Q01", "query_seconds.Q02"}
+
+
 def test_run_sentinel_scans_all_history_files(tmp_path):
     write_history(tmp_path / "wallclock_history.jsonl",
                   [base_entry(), base_entry()])

@@ -6,9 +6,9 @@ import pytest
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
-from repro.sim.costs import SERVER_DISK
-from repro.sim.meter import Meter
-from repro.storage.buffer_pool import BufferPool
+from repro.sim.costs import SERVER_CPU, SERVER_DISK, CostModel
+from repro.sim.meter import Meter, Segment
+from repro.storage.buffer_pool import READ_AHEAD_PAGES, BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile, RowId
 from repro.storage.page import Page
@@ -331,6 +331,147 @@ class TestScanResistance:
         assert pool.cold_admissions == cold_misses
 
 
+
+class TestReadAhead:
+    """Cold scans queue reads ahead on the pool's disk timeline.  Costs
+    are powers of two, so the timeline arithmetic is exact."""
+
+    CAPACITY = 4
+    PAGES = 12
+    READ = 0.5
+    WRITE = 0.25
+
+    @pytest.fixture
+    def meter(self):
+        return Meter(CostModel(disk_page_read_seconds=self.READ,
+                               disk_page_write_seconds=self.WRITE))
+
+    @pytest.fixture
+    def pool(self, disk, meter):
+        return BufferPool(disk, meter, capacity_pages=self.CAPACITY)
+
+    @pytest.fixture
+    def big(self, pool):
+        return _heap_on_disk(pool, 2, self.PAGES)
+
+    def _scan_with_cpu(self, heap, meter, cpu):
+        """Scan ``heap`` spending ``cpu`` seconds on each page; returns
+        the disk segments charged and the virtual seconds elapsed."""
+        start = meter.now
+        sink = meter.push_recorder()
+        for _block in heap.scan_pages():
+            meter.charge_batched(SERVER_CPU, cpu, "query cpu")
+        meter.pop_recorder(sink)
+        return ([seg for seg in sink if seg.resource == SERVER_DISK],
+                meter.now - start)
+
+    @pytest.mark.parametrize("cpu_reads", [1, 2])
+    def test_scan_with_enough_cpu_stalls_only_on_first_page(
+            self, pool, meter, big, cpu_reads):
+        cpu = cpu_reads * self.READ
+        stalls, elapsed = self._scan_with_cpu(big, meter, cpu)
+        assert stalls == [Segment(SERVER_DISK, self.READ, "page io")]
+        assert elapsed == self.READ + self.PAGES * cpu
+        assert pool.read_ahead_issued == self.PAGES
+        assert pool.read_ahead_wasted == 0
+
+    def test_scan_without_cpu_pays_the_serial_sum(self, pool, meter, big):
+        _stalls, elapsed = self._scan_with_cpu(big, meter, 0.0)
+        assert elapsed == self.PAGES * self.READ
+
+    def test_accounting_matches_a_synchronous_cold_scan(self, pool, meter,
+                                                        disk, big):
+        before = (pool.hits, pool.misses, pool.cold_admissions,
+                  disk.page_reads, meter.counters["disk_io"])
+        self._scan_with_cpu(big, meter, self.READ)
+        after = (pool.hits, pool.misses, pool.cold_admissions,
+                 disk.page_reads, meter.counters["disk_io"])
+        assert [b - a for a, b in zip(before, after)] \
+            == [0] + [self.PAGES] * 4
+        assert pool.resident_pages == self.CAPACITY
+        assert not pool._in_flight
+
+    def test_point_read_waits_behind_reads_in_flight(self, pool, meter,
+                                                     big):
+        other = _heap_on_disk(pool, 3, 1)
+        blocks = big.scan_pages()
+        next(blocks)  # page 0 taken; pages 1..8 queued behind it
+        queued = READ_AHEAD_PAGES * self.READ
+        start = meter.now
+        other.read(RowId(3, 0, 0))
+        assert meter.now - start == queued + self.READ
+        start = meter.now
+        next(blocks)  # page 1 finished while the point read waited
+        assert meter.now == start
+        blocks.close()
+
+    def test_write_back_waits_behind_reads_in_flight(self, pool, meter,
+                                                     big):
+        page = pool.new_page(3, 0, capacity=4)
+        page.insert(("x",))
+        blocks = big.scan_pages()
+        next(blocks)
+        start = meter.now
+        pool.flush_page(3, 0)
+        assert meter.now - start == READ_AHEAD_PAGES * self.READ \
+            + self.WRITE
+        blocks.close()
+
+    def test_crash_discards_pages_in_flight(self, pool, disk, big):
+        blocks = big.scan_pages()
+        next(blocks)
+        assert pool._in_flight
+        pool.crash()
+        assert not pool._in_flight and pool._disk_free == 0.0
+        reads = disk.page_reads
+        assert pool.get_page(2, 1) is not None
+        assert disk.page_reads - reads == 1  # read again, synchronously
+
+    def test_drop_file_discards_its_pages_in_flight(self, pool, big):
+        other = _heap_on_disk(pool, 3, 2 * self.CAPACITY)
+        blocks = big.scan_pages()
+        next(blocks)
+        other_blocks = other.scan_pages()
+        next(other_blocks)
+        pool.drop_file(2)
+        assert pool._in_flight
+        assert all(file_id == 3 for file_id, _ in pool._in_flight)
+        blocks.close()
+        other_blocks.close()
+
+    def test_stopped_scan_counts_waste_and_next_scan_reads_once(
+            self, pool, disk, big):
+        reads = disk.page_reads
+        blocks = big.scan_pages()
+        next(blocks)  # a TOP 1: one page taken, then the scan stops
+        blocks.close()
+        assert pool.read_ahead_issued == READ_AHEAD_PAGES + 1
+        assert pool.read_ahead_wasted == READ_AHEAD_PAGES
+        _scan(big)
+        assert disk.page_reads - reads == self.PAGES
+        assert pool.read_ahead_issued == self.PAGES
+        assert pool.read_ahead_wasted == READ_AHEAD_PAGES
+
+    def test_frozen_clock_reads_synchronously(self, pool, meter, big):
+        # Trace replay, loads and overlap windows run with the clock
+        # frozen: every page is one synchronous read, as without
+        # read-ahead, so the recorded trace is unchanged.
+        meter.advance_clock = False
+        stalls, elapsed = self._scan_with_cpu(big, meter, self.READ)
+        assert stalls == [Segment(SERVER_DISK, self.READ, "page io")] \
+            * self.PAGES
+        assert elapsed == 0.0
+        assert pool.read_ahead_issued == 0
+        assert not pool._in_flight
+
+    def test_file_that_fits_is_not_read_ahead(self, pool, meter):
+        small = _heap_on_disk(pool, 1, self.CAPACITY)
+        stalls, _elapsed = self._scan_with_cpu(small, meter, self.READ)
+        assert stalls == [Segment(SERVER_DISK, self.READ, "page io")] \
+            * self.CAPACITY
+        assert pool.read_ahead_issued == 0
+
+
 def test_sys_buffer_pool_view_reports_pool_state():
     engine = DatabaseEngine(meter=Meter())
     engine.buffer_pool.capacity_pages = 4
@@ -340,13 +481,21 @@ def test_sys_buffer_pool_view_reports_pool_state():
     engine.execute("INSERT INTO t VALUES " + ", ".join(
         f"({i}, 'x')" for i in range(200)), session)
     engine.checkpoint()
+    engine.buffer_pool.crash()  # every page on disk only
+    engine.execute("SELECT TOP 1 pad FROM t", session).fetch_all()
     engine.execute("SELECT count(*) FROM t", session).fetch_all()
     pool = engine.buffer_pool
     assert pool.cold_admissions > 0
+    assert pool.read_ahead_issued > 0
+    # t has 5 pages: the TOP 1 took page 0 and stopped with 1..4 in
+    # flight, which the count(*) then consumed without reading again.
+    assert pool.read_ahead_wasted == 4
+    assert pool.read_ahead_issued == 5
     expected = {name: getattr(pool, name)
                 for name in ("capacity_pages", "resident_pages",
                              "dirty_pages", "hits", "misses",
-                             "cold_admissions")}
+                             "cold_admissions", "read_ahead_issued",
+                             "read_ahead_wasted")}
     rows = dict(engine.execute(
         "SELECT metric, value FROM sys_buffer_pool", session).fetch_all())
     assert rows == expected
